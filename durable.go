@@ -136,7 +136,8 @@ func (m *DurableMiner) Retries() int { return m.d.Retries() }
 
 // Closed reports the closed item sets of the transactions added so far
 // whose support reaches minSupport. Queries stay available even after a
-// write fault — the in-memory state is always consistent.
+// write fault — the in-memory state is always consistent. The items
+// slice is borrowed, as for every Reporter: copy it to keep it.
 func (m *DurableMiner) Closed(minSupport int, rep Reporter) {
 	m.d.Closed(minSupport, rep)
 }

@@ -67,7 +67,9 @@ type (
 	Pattern = result.Pattern
 	// ResultSet is a collected, comparable set of patterns.
 	ResultSet = result.Set
-	// Reporter receives patterns as they are mined.
+	// Reporter receives patterns as they are mined. The items slice is
+	// borrowed: a miner may reuse it once Report returns, so a Reporter
+	// that keeps a pattern must copy it (ResultSet.Collect does).
 	Reporter = result.Reporter
 	// ReporterFunc adapts a function to Reporter.
 	ReporterFunc = result.ReporterFunc

@@ -47,7 +47,8 @@ func (m *IncrementalMiner) NodeCount() int { return m.inc.NodeCount() }
 
 // Closed reports the closed item sets of the transactions added so far
 // whose support reaches minSupport. It may be called repeatedly and at
-// different thresholds; it does not modify the miner.
+// different thresholds; it does not modify the miner. The items slice is
+// borrowed, as for every Reporter: copy it to keep it.
 func (m *IncrementalMiner) Closed(minSupport int, rep Reporter) {
 	m.inc.Closed(minSupport, rep)
 }

@@ -11,6 +11,9 @@ func (t *Tree) Compact() {
 	var fresh arena
 	t.children = compactList(&fresh, t.children)
 	t.arena = fresh
+	// Every hint points into the old arena: keeping them would pin all of
+	// its blocks for the rest of the run (epochs already make them stale).
+	clear(t.hints)
 }
 
 func compactList(dst *arena, n *node) *node {

@@ -78,7 +78,8 @@ func (m *Incremental) NodeCount() int { return m.tree.NodeCount() }
 
 // Closed reports the closed item sets of the transactions added so far
 // whose support reaches minSupport. It may be called repeatedly and at
-// different thresholds; it does not modify the miner.
+// different thresholds; it does not modify the miner. The items slice is
+// borrowed (result.Reporter): rep must copy it to keep it.
 func (m *Incremental) Closed(minSupport int, rep result.Reporter) {
 	m.tree.Report(minSupport, func(items itemset.Set, supp int) {
 		rep.Report(items, supp)

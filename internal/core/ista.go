@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/guard"
 	"repro/internal/itemset"
 	"repro/internal/mining"
@@ -120,7 +122,12 @@ func minePrepared(pre *prep.Prepared, minsup int, disablePruning bool, ctl *mini
 			err = e
 			return
 		}
-		rep.Report(pre.DecodeSet(items), support)
+		// items is Report's reused buffer: decode it in place.
+		for k, it := range items {
+			items[k] = pre.Decode[it]
+		}
+		slices.Sort(items)
+		rep.Report(items, support)
 	})
 	if err != nil {
 		return err

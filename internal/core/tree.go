@@ -8,6 +8,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/itemset"
 )
 
@@ -84,6 +86,13 @@ type Tree struct {
 	step     int32  // current update step = number of transactions processed
 	weight   int32  // multiplicity of the current transaction (1 for AddTransaction)
 
+	// Insertion hints (see isect): hints[l*items+i] remembers the node
+	// with item i in the intersection list activated at level l, valid
+	// while its epoch equals epochs[l]. Allocated once the tree is large
+	// enough (see hintMinNodes); nil until then.
+	hints  []hint
+	epochs [hintLevels]uint32
+
 	// Cancellation support: a single intersection pass can stream over
 	// millions of nodes, so waiting for the pass to finish would make a
 	// caller's timeout arbitrarily late. cancel is polled every
@@ -95,6 +104,29 @@ type Tree struct {
 }
 
 const cancelInterval = 1 << 14
+
+// hint is one insertion-hint table entry: a node of an intersection list
+// and the epoch of the list activation that found or created it.
+type hint struct {
+	node  *node
+	epoch uint32
+}
+
+// hintLevels is the number of intersection-list levels (matched ancestors
+// below the root) that get insertion hints; deeper lists keep the plain
+// scan. The long lists sit near the root: on gene data (Yeast(0.15),
+// minsup 14, 2.04 M lookups) 1/2/4/8 levels hit 598k/738k/779k/784k
+// lookups and left 15.2/11.6/11.6/12.1 M of the plain scan's 103.7 M
+// list steps, all at the same run time within noise (a larger table is
+// also allocated later, see hintMinNodes); 4 keeps nearly every hit at
+// half the table of 8.
+const hintLevels = 4
+
+// hintMinNodes returns the live node count from which a tree over items
+// item codes allocates its hint table. At 2 nodes per entry the table
+// (16 bytes an entry) stays below a quarter of the node arena (32 bytes
+// a node), so small trees over wide universes pay nothing.
+func hintMinNodes(items int) int { return 2 * hintLevels * items }
 
 // SetCancel installs a cancellation probe polled during intersection
 // passes. A nil probe (the default) disables polling.
@@ -144,8 +176,28 @@ func (t *Tree) addWeighted(items itemset.Set, weight int32) {
 	if len(items) == 0 {
 		return
 	}
+	t.insertPath(items)
 
-	// Insert the transaction's path (descending item codes from the root).
+	// Intersection pass.
+	for _, it := range items {
+		t.trans[it] = true
+	}
+	t.imin = int32(items[0])
+	// The hint table is allocated once the tree is big enough to pay for
+	// it (see hintMinNodes) and kept from then on.
+	if t.hints == nil && t.arena.live >= hintMinNodes(len(t.trans)) {
+		t.hints = make([]hint, hintLevels*len(t.trans))
+	}
+	t.activate(0)
+	t.isect(t.children, &t.children, 0)
+	for _, it := range items {
+		t.trans[it] = false
+	}
+}
+
+// insertPath inserts the transaction's path (descending item codes from
+// the root); new nodes start at support 0 and step 0.
+func (t *Tree) insertPath(items itemset.Set) {
 	ins := &t.children
 	for i := len(items) - 1; i >= 0; i-- {
 		it := int32(items[i])
@@ -162,15 +214,21 @@ func (t *Tree) addWeighted(items itemset.Set, weight int32) {
 		*ins = n
 		ins = &n.children
 	}
+}
 
-	// Intersection pass.
-	for _, it := range items {
-		t.trans[it] = true
+// activate starts a new activation of the intersection list at level l:
+// it takes a fresh epoch for the level, which invalidates every hint the
+// level's previous list left behind. A wrap of the counter clears the
+// level's row, so an epoch is never reused while an entry still holds it.
+func (t *Tree) activate(l int) {
+	if t.hints == nil || l >= hintLevels {
+		return
 	}
-	t.imin = int32(items[0])
-	t.isect(t.children, &t.children)
-	for _, it := range items {
-		t.trans[it] = false
+	t.epochs[l]++
+	if t.epochs[l] == 0 {
+		n := len(t.trans)
+		clear(t.hints[l*n : (l+1)*n])
+		t.epochs[l] = 1
 	}
 }
 
@@ -178,9 +236,27 @@ func (t *Tree) addWeighted(items itemset.Set, weight int32) {
 // sibling list of the existing tree; ins points at the link that holds the
 // list representing the intersection of the already processed part of the
 // transaction with the set represented by the path to n, i.e. where nodes
-// for extended intersections must be looked up or inserted.
-func (t *Tree) isect(n *node, ins **node) {
+// for extended intersections must be looked up or inserted. level counts
+// the matched ancestors of that list: 0 for the root's list, one more for
+// each recursion through a matched node.
+//
+// A node that is not in the intersection recurses with an unchanged ins,
+// so without help every subtree below it would re-walk the same
+// intersection list from the same start. The insertion hints end that
+// walk for the first hintLevels levels: the node found or created for
+// item i in the active list at level l is remembered, and a later lookup
+// of i in the same activation jumps straight to it. The jump is exact:
+// nodes are never removed during a pass, and every node before ins
+// carries a larger item than any item still to be looked up, so the scan
+// would have stopped at the same node.
+func (t *Tree) isect(n *node, ins **node, level int) {
 	trans, imin, step, weight := t.trans, t.imin, t.step, t.weight
+	var row []hint
+	var epoch uint32
+	if t.hints != nil && level < hintLevels {
+		row = t.hints[level*len(trans) : (level+1)*len(trans)]
+		epoch = t.epochs[level]
+	}
 	for n != nil {
 		if t.aborted {
 			return // unwind promptly across all recursion levels
@@ -196,32 +272,39 @@ func (t *Tree) isect(n *node, ins **node) {
 		if trans[i] {
 			// The item is in the intersection: find or create the node
 			// for the extended intersection in the ins list.
-			d := *ins
-			for d != nil && d.item > i {
-				ins = &d.sibling
-				d = *ins
-			}
-			if d != nil && d.item == i {
-				// Existing node: update its support. If it was already
-				// updated in this step, discount the current transaction
-				// before taking the maximum (the step field acts as an
-				// incremental update flag).
-				if d.step >= step {
-					d.supp -= weight
-				}
-				if d.supp < n.supp {
-					d.supp = n.supp
-				}
-				d.supp += weight
-				d.step = step
+			var d *node
+			if row != nil && row[i].epoch == epoch {
+				d = row[i].node
 			} else {
-				d = t.arena.alloc()
-				d.step = step
-				d.item = i
-				d.supp = n.supp + weight
-				d.sibling = *ins
-				*ins = d
+				d = *ins
+				for d != nil && d.item > i {
+					ins = &d.sibling
+					d = *ins
+				}
+				if d == nil || d.item != i {
+					// A new node starts at step 0 and support 0, like
+					// the transaction's own path, and is raised below.
+					d = t.arena.alloc()
+					d.item = i
+					d.sibling = *ins
+					*ins = d
+				}
+				if row != nil {
+					row[i] = hint{d, epoch}
+				}
 			}
+			// Update the support. If d was already updated in this step,
+			// discount the current transaction before taking the maximum
+			// (the step field acts as an incremental update flag).
+			if d.step >= step {
+				d.supp -= weight
+			}
+			if d.supp < n.supp {
+				d.supp = n.supp
+			}
+			d.supp += weight
+			d.step = step
+			ins = &d.sibling
 			if i <= imin {
 				// No item below imin can be in the transaction, so
 				// neither deeper nodes nor later siblings (all of which
@@ -229,7 +312,8 @@ func (t *Tree) isect(n *node, ins **node) {
 				return
 			}
 			if n.children != nil {
-				t.isect(n.children, &d.children)
+				t.activate(level + 1)
+				t.isect(n.children, &d.children, level+1)
 			}
 		} else {
 			if i <= imin {
@@ -238,7 +322,7 @@ func (t *Tree) isect(n *node, ins **node) {
 			// Item not in the intersection: descend without advancing the
 			// insertion position.
 			if n.children != nil {
-				t.isect(n.children, ins)
+				t.isect(n.children, ins, level)
 			}
 		}
 		n = n.sibling
@@ -250,7 +334,7 @@ func (t *Tree) isect(n *node, ins **node) {
 // strictly exceeds the maximum support of its children (otherwise the
 // represented set has a superset with equal support and is not closed).
 // The empty set is never reported. The items slice passed to emit is
-// reused between calls.
+// reused between calls (emit may modify it: it is rebuilt for each set).
 //
 // Like the intersection pass, the traversal polls the cancellation probe
 // installed with SetCancel: a report pass over a large tree would
@@ -261,11 +345,23 @@ func (t *Tree) Report(minSupport int, emit func(items itemset.Set, support int))
 	if minSupport < 1 {
 		minSupport = 1
 	}
-	path := make(itemset.Set, 0, 32)
-	t.report(t.children, path, int32(minSupport), emit)
+	var out itemset.Set
+	t.report(t.children, make(itemset.Set, 0, 32), &out, int32(minSupport), emit)
 }
 
-func (t *Tree) report(list *node, path itemset.Set, minSupport int32, emit func(items itemset.Set, support int)) {
+// reversed writes path into *buf in reverse order, growing the buffer as
+// needed, and returns it. The path carries item codes descending from the
+// root, so the result is the represented set in canonical order.
+func reversed(buf *itemset.Set, path itemset.Set) itemset.Set {
+	out := slices.Grow((*buf)[:0], len(path))[:len(path)]
+	for i, it := range path {
+		out[len(path)-1-i] = it
+	}
+	*buf = out
+	return out
+}
+
+func (t *Tree) report(list *node, path itemset.Set, out *itemset.Set, minSupport int32, emit func(items itemset.Set, support int)) {
 	for c := list; c != nil; c = c.sibling {
 		if t.aborted {
 			return // unwind promptly across all recursion levels
@@ -288,18 +384,12 @@ func (t *Tree) report(list *node, path itemset.Set, minSupport int32, emit func(
 		// closedness check, exactly as in Fig. 4.
 		sub := append(path, c.item)
 		if c.supp >= minSupport && c.supp > maxChild {
-			// The path carries item codes descending from the root;
-			// reverse into canonical order.
-			out := make(itemset.Set, len(sub))
-			for i, it := range sub {
-				out[len(sub)-1-i] = it
-			}
-			emit(out, int(c.supp))
+			emit(reversed(out, sub), int(c.supp))
 		}
 		// Support never increases from parent to child, so an infrequent
 		// subtree contains nothing reportable (Fig. 4 skips it too).
 		if c.supp >= minSupport {
-			t.report(c.children, sub, minSupport, emit)
+			t.report(c.children, sub, out, minSupport, emit)
 		}
 	}
 }
@@ -309,13 +399,13 @@ func (t *Tree) report(list *node, path itemset.Set, minSupport int32, emit func(
 // order as Report but without any frequency or closedness filtering. The
 // parallel merge uses it to enumerate closure candidates, whose supports
 // are then recomputed exactly. The items slice passed to emit is reused
-// between calls. Walk honors the SetCancel probe the same way Report does.
+// between calls, as in Report. Walk honors the SetCancel probe the same way Report does.
 func (t *Tree) Walk(emit func(items itemset.Set, support int)) {
-	path := make(itemset.Set, 0, 32)
-	t.walk(t.children, path, emit)
+	var out itemset.Set
+	t.walk(t.children, make(itemset.Set, 0, 32), &out, emit)
 }
 
-func (t *Tree) walk(list *node, path itemset.Set, emit func(items itemset.Set, support int)) {
+func (t *Tree) walk(list *node, path itemset.Set, out *itemset.Set, emit func(items itemset.Set, support int)) {
 	for c := list; c != nil; c = c.sibling {
 		if t.aborted {
 			return
@@ -328,11 +418,7 @@ func (t *Tree) walk(list *node, path itemset.Set, emit func(items itemset.Set, s
 			}
 		}
 		sub := append(path, c.item)
-		out := make(itemset.Set, len(sub))
-		for i, it := range sub {
-			out[len(sub)-1-i] = it
-		}
-		emit(out, int(c.supp))
-		t.walk(c.children, sub, emit)
+		emit(reversed(out, sub), int(c.supp))
+		t.walk(c.children, sub, out, emit)
 	}
 }

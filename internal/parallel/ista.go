@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -270,7 +271,7 @@ func minePreparedIsTa(pre *prep.Prepared, cfg runCfg, rep result.Reporter) error
 	}
 	var cands []itemset.Set
 	mtree.Walk(func(s itemset.Set, _ int) {
-		cands = append(cands, s)
+		cands = append(cands, slices.Clone(s))
 	})
 	if mtree.Aborted() {
 		return ctl.Cause()
@@ -436,7 +437,7 @@ func mineShard(shard *txdb.DB, minsup int, done <-chan struct{}, g *guard.Guard,
 	}
 	var out []result.Pattern
 	tree.Report(minsup, func(s itemset.Set, supp int) {
-		out = append(out, result.Pattern{Items: s, Support: supp})
+		out = append(out, result.Pattern{Items: slices.Clone(s), Support: supp})
 	})
 	if tree.Aborted() {
 		return nil, ctl.Cause()

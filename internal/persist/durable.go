@@ -520,7 +520,8 @@ func (d *Durable) Retries() int { return d.report.Retried }
 
 // Closed reports the closed item sets of the transactions added so far
 // whose support reaches minSupport (queries work even after a write
-// fault — the in-memory state is always consistent).
+// fault — the in-memory state is always consistent). The items slice is
+// borrowed (result.Reporter): rep must copy it to keep it.
 func (d *Durable) Closed(minSupport int, rep result.Reporter) {
 	d.m.Closed(minSupport, rep)
 }

@@ -10,7 +10,8 @@ import (
 // producers (dataset I/O, the synthetic generators, prep) emit straight
 // into the final representation with no per-transaction allocations —
 // growth is amortized over the two backing arrays. A Builder is single-use:
-// Build hands its columns to the DB without copying.
+// Build hands its columns to the DB without copying. The zero value is an
+// empty Builder ready to use; NewBuilder only pre-sizes the columns.
 type Builder struct {
 	items   int // universe floor; raised by observed items
 	ids     []itemset.Item
@@ -34,7 +35,7 @@ func NewBuilder(rowsHint, idsHint int) *Builder {
 func (b *Builder) SetNumItems(n int) { b.items = n }
 
 // NumRows returns the number of rows added so far.
-func (b *Builder) NumRows() int { return len(b.offs) - 1 }
+func (b *Builder) NumRows() int { return max(len(b.offs)-1, 0) }
 
 // AddSet appends one transaction with weight 1. t must already be
 // canonical (strictly ascending); its contents are copied.
@@ -89,6 +90,9 @@ func (b *Builder) AddInts(row ...int) {
 }
 
 func (b *Builder) closeRow(rowLen, w int) {
+	if len(b.offs) == 0 {
+		b.offs = append(b.offs, 0) // a zero-value Builder's leading offset
+	}
 	b.offs = append(b.offs, int32(len(b.ids)))
 	if w != 1 && b.weights == nil {
 		b.weights = make([]int32, 0, cap(b.offs))
@@ -110,6 +114,9 @@ func (b *Builder) closeRow(rowLen, w int) {
 // Build finalizes the accumulated rows into an immutable DB. The Builder
 // must not be used afterwards (the DB owns the columns).
 func (b *Builder) Build() *DB {
+	if len(b.offs) == 0 {
+		b.offs = []int32{0}
+	}
 	db := &DB{
 		items:   b.items,
 		ids:     b.ids,

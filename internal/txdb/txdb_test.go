@@ -378,3 +378,62 @@ func TestMatrixWeighted(t *testing.T) {
 		t.Fatalf("row 1 = %v", m.M[1])
 	}
 }
+
+// TestBuilderZeroValue checks that a zero-value Builder builds the same
+// databases as one from NewBuilder: it once lacked the leading offset, so
+// its first row swallowed the second and NumRows started at -1.
+func TestBuilderZeroValue(t *testing.T) {
+	type row struct {
+		items []int
+		w     int
+	}
+	cases := []struct {
+		name string
+		rows []row
+	}{
+		{"empty", nil},
+		{"one row", []row{{[]int{3, 1}, 1}}},
+		{"empty row", []row{{nil, 1}}},
+		{"rows", []row{{[]int{2, 0}, 1}, {[]int{1}, 1}, {nil, 1}, {[]int{0, 1, 2}, 1}}},
+		{"weighted", []row{{[]int{0}, 1}, {[]int{1, 2}, 4}, {[]int{2}, 1}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var zero txdb.Builder
+			sized := txdb.NewBuilder(len(c.rows), 0)
+			for k, r := range c.rows {
+				for _, b := range []*txdb.Builder{&zero, sized} {
+					b.AddWeighted(itemset.FromInts(r.items...), r.w)
+					if b.NumRows() != k+1 {
+						t.Fatalf("NumRows = %d after %d rows", b.NumRows(), k+1)
+					}
+				}
+			}
+			if len(c.rows) == 0 && zero.NumRows() != 0 {
+				t.Fatalf("empty zero-value NumRows = %d", zero.NumRows())
+			}
+			got, want := zero.Build(), sized.Build()
+			if err := txdb.Validate(got); err != nil {
+				t.Fatal(err)
+			}
+			if got.NumTx() != len(c.rows) || got.NumItems() != want.NumItems() || got.TotalWeight() != want.TotalWeight() {
+				t.Fatalf("zero value: %d rows, %d items, weight %d; want %d, %d, %d",
+					got.NumTx(), got.NumItems(), got.TotalWeight(), len(c.rows), want.NumItems(), want.TotalWeight())
+			}
+			for k := range c.rows {
+				if !got.Tx(k).Equal(want.Tx(k)) || got.Weight(k) != want.Weight(k) {
+					t.Fatalf("row %d = %v ×%d, want %v ×%d", k, got.Tx(k), got.Weight(k), want.Tx(k), want.Weight(k))
+				}
+			}
+		})
+	}
+
+	// The AddInts path named in the original report.
+	var b txdb.Builder
+	b.AddInts(1, 0)
+	b.AddInts(2)
+	db := b.Build()
+	if db.NumTx() != 2 || !db.Tx(0).Equal(itemset.FromInts(0, 1)) || !db.Tx(1).Equal(itemset.FromInts(2)) {
+		t.Fatalf("AddInts on zero value: %d rows, %v, %v", db.NumTx(), db.Tx(0), db.Tx(1))
+	}
+}
