@@ -41,10 +41,14 @@ type TableBrancher struct {
 }
 
 // NewTableBrancher builds the brancher. pre must come from prep.Prepare
-// with the minsup used here.
-func NewTableBrancher(pre *prep.Prepared, minsup int, disableElimination bool) *TableBrancher {
+// with the minsup used here. It returns a *txdb.WeightOverflowError when
+// the prepared total weight does not fit the matrix's int32 counts.
+func NewTableBrancher(pre *prep.Prepared, minsup int, disableElimination bool) (*TableBrancher, error) {
 	if minsup < 1 {
 		minsup = 1
+	}
+	if err := pre.DB.CheckInt32Counts(); err != nil {
+		return nil, err
 	}
 	return &TableBrancher{
 		pre:    pre,
@@ -53,7 +57,7 @@ func NewTableBrancher(pre *prep.Prepared, minsup int, disableElimination bool) *
 		minsup: minsup,
 		n:      pre.DB.NumTx(),
 		elim:   !disableElimination,
-	}
+	}, nil
 }
 
 // Branches enumerates the top-level include-branches in transaction order,
@@ -63,10 +67,7 @@ func NewTableBrancher(pre *prep.Prepared, minsup int, disableElimination bool) *
 // which the sequential loop breaks too). Branches with an empty root
 // intersection are skipped.
 func (b *TableBrancher) Branches() []TableBranch {
-	root := make([]itemset.Item, b.pre.DB.NumItems())
-	for i := range root {
-		root[i] = itemset.Item(i)
-	}
+	root := tableRoot(b.pre.DB.NumItems())
 	var out []TableBranch
 	for j := 0; j < b.n; j++ {
 		if b.suffW[j] < b.minsup {
@@ -130,5 +131,5 @@ func (b *TableBrancher) NewWorker(done <-chan struct{}, g *guard.Guard, counters
 func (w *TableWorker) Explore(br TableBranch) (err error) {
 	defer guard.Recover(&err)
 	items := append([]itemset.Item(nil), br.items...)
-	return w.m.exploreTable(items, w.m.db.Weight(br.First), br.First+1)
+	return w.m.exploreTable(items, w.m.db.Weight(br.First), br.First+1, 0)
 }

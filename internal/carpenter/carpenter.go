@@ -78,7 +78,22 @@ func minePrepared(pre *prep.Prepared, minsup int, variant Variant, disableElimin
 	if pdb.NumItems() == 0 || pdb.TotalWeight() < minsup {
 		return nil
 	}
+	if err := pdb.CheckInt32Counts(); err != nil {
+		return err
+	}
 
+	m := newMiner(pre, minsup, variant, disableElimination, hashRepository, ctl, rep)
+	// The root subproblem is (B, ∅, 1): the full item base, nothing
+	// intersected yet.
+	if variant == Table {
+		return m.exploreTable(tableRoot(pdb.NumItems()), 0, 0, 0)
+	}
+	return m.exploreLists(listsRoot(pdb.NumItems()), 0, 0, 0)
+}
+
+// newMiner wires a miner for variant over the prepared database.
+func newMiner(pre *prep.Prepared, minsup int, variant Variant, disableElimination, hashRepository bool, ctl *mining.Control, rep result.Reporter) *miner {
+	pdb := pre.DB
 	m := &miner{
 		minsup: minsup,
 		n:      pdb.NumTx(),
@@ -102,21 +117,27 @@ func minePrepared(pre *prep.Prepared, minsup int, variant Variant, disableElimin
 			m.remW = remainingWeights(pdb, m.tids)
 		}
 	}
+	return m
+}
 
-	// The root subproblem is (B, ∅, 1): the full item base, nothing
-	// intersected yet.
-	if variant == Table {
-		root := make([]itemset.Item, pdb.NumItems())
-		for i := range root {
-			root[i] = itemset.Item(i)
-		}
-		return m.exploreTable(root, 0, 0)
+// tableRoot returns the full item base 0..items-1, the root intersection
+// of the table variant.
+func tableRoot(items int) []itemset.Item {
+	root := make([]itemset.Item, items)
+	for i := range root {
+		root[i] = itemset.Item(i)
 	}
-	root := make([]ip, pdb.NumItems())
+	return root
+}
+
+// listsRoot returns the root intersection of the lists variant: every
+// item, positioned at the start of its transaction list.
+func listsRoot(items int) []ip {
+	root := make([]ip, items)
 	for i := range root {
 		root[i] = ip{item: itemset.Item(i)}
 	}
-	return m.exploreLists(root, 0, 0)
+	return root
 }
 
 // suffixWeights returns s with s[j] = total weight of rows j..n-1, the
@@ -133,7 +154,9 @@ func suffixWeights(db *txdb.DB) []int {
 
 // remainingWeights precomputes, for every item, the weighted suffix sums
 // of its tid list: remW[i][p] = total weight of tids[i][p:]. Only needed
-// for weighted databases; uniform ones read list lengths directly.
+// for weighted databases; uniform ones read list lengths directly. The
+// int32 sums are exact because minePrepared has checked the total weight
+// with CheckInt32Counts.
 func remainingWeights(db *txdb.DB, tids [][]int32) [][]int32 {
 	remW := make([][]int32, len(tids))
 	for i, tl := range tids {
@@ -162,6 +185,27 @@ type miner struct {
 	matrix [][]int32 // table variant
 
 	scratch itemset.Set // reusable buffer for repository lookups/reports
+
+	// Per-depth child buffers: the intersection built at recursion depth
+	// d lives in row d, reused by every scan step at that depth. The
+	// callee at depth d+1 only reads it (and, in the lists variant,
+	// advances its positions) and writes row d+1; the repository and
+	// report copy what they keep. Depth is at most the row count.
+	tableBufs [][]itemset.Item
+	listBufs  [][]ip
+}
+
+// depthBuf returns row depth of bufs with room for n elements. A row is
+// allocated the first time its depth needs more room and is reused after
+// that, so the scan loop allocates nothing once the rows have grown.
+func depthBuf[T any](bufs *[][]T, depth, n int) []T {
+	for len(*bufs) <= depth {
+		*bufs = append(*bufs, nil)
+	}
+	if cap((*bufs)[depth]) < n {
+		(*bufs)[depth] = make([]T, n)
+	}
+	return (*bufs)[depth][:n]
 }
 
 // ip is one item of the current intersection in the lists variant,
@@ -176,8 +220,9 @@ type ip struct {
 // (ascending item order; positions point at the first transaction index
 // ≥ ell in each list) with weight(K) = kSize, scanning transactions
 // ell..n-1. All counts are weighted; with uniform weights they are the
-// paper's transaction counts exactly.
-func (m *miner) exploreLists(items []ip, kSize, ell int) error {
+// paper's transaction counts exactly. depth is the recursion depth (the
+// number of transactions in K), which selects the child buffer.
+func (m *miner) exploreLists(items []ip, kSize, ell, depth int) error {
 	perfectSeen := false
 	for j := ell; j < m.n && len(items) > 0; j++ {
 		if err := m.ctl.Tick(); err != nil {
@@ -194,7 +239,7 @@ func (m *miner) exploreLists(items []ip, kSize, ell int) error {
 		// dropped.
 		wj := m.db.Weight(j)
 		matched := 0
-		child := make([]ip, 0, len(items))
+		child := depthBuf(&m.listBufs, depth, len(items))[:0]
 		for _, it := range items {
 			tl := m.tids[it.item]
 			if int(it.pos) < len(tl) && tl[it.pos] == int32(j) {
@@ -206,7 +251,7 @@ func (m *miner) exploreLists(items []ip, kSize, ell int) error {
 		}
 		perfect := matched == len(items)
 		if len(child) > 0 && !m.repo.Contains(m.setOf(child)) {
-			if err := m.exploreLists(child, kSize+wj, j+1); err != nil {
+			if err := m.exploreLists(child, kSize+wj, j+1, depth+1); err != nil {
 				return err
 			}
 		}
@@ -254,7 +299,7 @@ func (m *miner) remaining(item itemset.Item, pos int) int {
 // exploreTable is the same search over the matrix representation: items
 // holds the current intersection (ascending), membership and remaining
 // counts come from M[j][i].
-func (m *miner) exploreTable(items []itemset.Item, kSize, ell int) error {
+func (m *miner) exploreTable(items []itemset.Item, kSize, ell, depth int) error {
 	perfectSeen := false
 	for j := ell; j < m.n && len(items) > 0; j++ {
 		if err := m.ctl.Tick(); err != nil {
@@ -264,20 +309,29 @@ func (m *miner) exploreTable(items []itemset.Item, kSize, ell int) error {
 		if kSize+m.suffW[j] < m.minsup {
 			break
 		}
-		row := m.matrix[j]
-		matched := 0
-		child := make([]itemset.Item, 0, len(items))
-		for _, it := range items {
-			if cnt := row[it]; cnt > 0 {
-				matched++
-				if !m.elim || kSize+int(cnt) >= m.minsup {
-					child = append(child, it)
-				}
-			}
+		// One threshold folds membership (cnt ≥ 1) and item elimination
+		// (kSize+cnt ≥ minsup), and both tests run without branches:
+		// every item is stored, and the sign bit of thr-1-cnt (of -cnt)
+		// says whether it is kept (matched). The int32 arithmetic is
+		// exact because cnt and minsup are at most the total weight,
+		// which CheckInt32Counts has bounded by math.MaxInt32.
+		thr := int32(1)
+		if m.elim && m.minsup-kSize > 1 {
+			thr = int32(m.minsup - kSize)
 		}
+		row := m.matrix[j]
+		child := depthBuf(&m.tableBufs, depth, len(items))
+		k, matched := 0, 0
+		for _, it := range items {
+			cnt := row[it]
+			child[k] = it
+			k += int(uint32(thr-1-cnt) >> 31)
+			matched += int(uint32(-cnt) >> 31)
+		}
+		child = child[:k]
 		perfect := matched == len(items)
 		if len(child) > 0 && !m.repo.Contains(child) {
-			if err := m.exploreTable(child, kSize+m.db.Weight(j), j+1); err != nil {
+			if err := m.exploreTable(child, kSize+m.db.Weight(j), j+1, depth+1); err != nil {
 				return err
 			}
 		}

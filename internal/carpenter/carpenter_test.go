@@ -1,6 +1,8 @@
 package carpenter
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"repro/internal/naive"
 	"repro/internal/prep"
 	"repro/internal/result"
+	"repro/internal/txdb"
 )
 
 func randDB(rng *rand.Rand, items, n int, density float64) *dataset.Database {
@@ -222,6 +225,50 @@ func randNonEmptySet(rng *rand.Rand, universe, maxLen int) itemset.Set {
 		s := itemset.New(items...)
 		if len(s) > 0 {
 			return s
+		}
+	}
+}
+
+// weightedDB builds a database from rows with the given weights.
+func weightedDB(rows []itemset.Set, weights []int) *txdb.DB {
+	b := txdb.NewBuilder(len(rows), 0)
+	for k, r := range rows {
+		b.AddWeighted(r, weights[k])
+	}
+	return b.Build()
+}
+
+// TestMineWeightOverflow: the matrix and the remaining-weight sums count
+// in int32, so a total weight beyond math.MaxInt32 must fail with the
+// typed error instead of mining wrapped counts (which silently dropped
+// {0}:4294967294 here), while a total of exactly math.MaxInt32 is still
+// mined exactly, at the smallest and the largest support thresholds.
+func TestMineWeightOverflow(t *testing.T) {
+	rows := []itemset.Set{itemset.FromInts(0, 1), itemset.FromInts(0)}
+	over := weightedDB(rows, []int{math.MaxInt32, math.MaxInt32})
+	edge := weightedDB(rows, []int{math.MaxInt32 - 1, 1})
+	for _, variant := range []Variant{Lists, Table} {
+		err := Mine(over, Options{MinSupport: 1, Variant: variant}, &result.Counter{})
+		var oe *txdb.WeightOverflowError
+		if !errors.As(err, &oe) || int64(oe.TotalWeight) != 2*math.MaxInt32 {
+			t.Fatalf("%v: err = %v, want *txdb.WeightOverflowError with total %d", variant, err, int64(2*math.MaxInt32))
+		}
+		for _, noElim := range []bool{false, true} {
+			for _, minsup := range []int{1, math.MaxInt32 - 1, math.MaxInt32} {
+				var want result.Set
+				want.Add(itemset.FromInts(0), math.MaxInt32)
+				if minsup < math.MaxInt32 {
+					want.Add(itemset.FromInts(0, 1), math.MaxInt32-1)
+				}
+				var got result.Set
+				err := Mine(edge, Options{MinSupport: minsup, Variant: variant, DisableElimination: noElim}, got.Collect())
+				if err != nil {
+					t.Fatalf("%v elim=%v minsup=%d: %v", variant, !noElim, minsup, err)
+				}
+				if !got.Equal(&want) {
+					t.Fatalf("%v elim=%v minsup=%d:\n%s", variant, !noElim, minsup, got.Diff(&want, 5))
+				}
+			}
 		}
 	}
 }

@@ -71,7 +71,10 @@ func minePreparedCarpenter(pre *prep.Prepared, cfg runCfg, rep result.Reporter) 
 	}
 	counters := ctl.Counters()
 
-	brancher := carpenter.NewTableBrancher(pre, minsup, false)
+	brancher, err := carpenter.NewTableBrancher(pre, minsup, false)
+	if err != nil {
+		return err
+	}
 	branches := brancher.Branches()
 
 	// Round-robin assignment keeps each worker's branches in increasing

@@ -1,6 +1,9 @@
 package txdb
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/itemset"
 	"repro/internal/tidset"
 )
@@ -119,8 +122,32 @@ type Matrix struct {
 	M     [][]int32
 }
 
+// WeightOverflowError reports a database whose total weight does not fit
+// the int32 running counts of the Matrix entries (and of the list-based
+// Carpenter's remaining-weight sums). Miners that keep such counts return
+// it instead of mining with wrapped values.
+type WeightOverflowError struct {
+	TotalWeight int
+}
+
+func (e *WeightOverflowError) Error() string {
+	return fmt.Sprintf("txdb: total weight %d exceeds the int32 count range (max %d)", e.TotalWeight, math.MaxInt32)
+}
+
+// CheckInt32Counts returns a *WeightOverflowError when a weighted count
+// over rows of db can exceed math.MaxInt32, that is when the total weight
+// does; every such count is at most the total weight, so otherwise the
+// int32 counts are exact.
+func (db *DB) CheckInt32Counts() error {
+	if db.totalW > math.MaxInt32 {
+		return &WeightOverflowError{TotalWeight: db.totalW}
+	}
+	return nil
+}
+
 // Matrix builds the table representation of db. It is not cached: only
-// the table Carpenter uses it, exactly once per run.
+// the table Carpenter uses it, exactly once per run. Its int32 entries
+// are exact only when CheckInt32Counts returns nil.
 func (db *DB) Matrix() *Matrix {
 	n := db.NumTx()
 	m := &Matrix{Items: db.items, N: n}
