@@ -61,6 +61,10 @@ func minePrepared(pre *prep.Prepared, minsup int, disablePruning bool, ctl *mini
 	if pdb.NumItems() == 0 {
 		return nil
 	}
+	// Node supports are int32 sums of row weights.
+	if err := pdb.CheckInt32Counts(); err != nil {
+		return err
+	}
 
 	// remain[i] = occurrences of item i in the not-yet-processed
 	// transactions; it starts at the global frequencies and is decremented

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/itemset"
 	"repro/internal/result"
+	"repro/internal/txdb"
 )
 
 // randSet draws a random non-empty canonical item set over 0..items-1.
@@ -140,5 +143,41 @@ func TestReportAbortsPromptly(t *testing.T) {
 	// cancellation point, but must not report the rest of the tree.
 	if emitted > stopAfter+cancelInterval {
 		t.Fatalf("report pass emitted %d sets after cancellation at %d", emitted, stopAfter)
+	}
+}
+
+// TestMineWeightOverflow: node supports are int32 sums of row weights, so
+// a total weight beyond math.MaxInt32 must fail with the typed error
+// instead of mining wrapped counts (which silently reported nothing
+// here), while a total of exactly math.MaxInt32 is still mined exactly,
+// with pruning on and off.
+func TestMineWeightOverflow(t *testing.T) {
+	build := func(w0, w1 int) *txdb.DB {
+		b := txdb.NewBuilder(2, 3)
+		b.AddWeighted(itemset.FromInts(0, 1), w0)
+		b.AddWeighted(itemset.FromInts(0), w1)
+		return b.Build()
+	}
+	err := Mine(build(math.MaxInt32, math.MaxInt32), Options{MinSupport: 1}, &result.Counter{})
+	var oe *txdb.WeightOverflowError
+	if !errors.As(err, &oe) || int64(oe.TotalWeight) != 2*math.MaxInt32 {
+		t.Fatalf("err = %v, want *txdb.WeightOverflowError with total %d", err, int64(2*math.MaxInt32))
+	}
+	edge := build(math.MaxInt32-1, 1)
+	for _, noPrune := range []bool{false, true} {
+		for _, minsup := range []int{1, math.MaxInt32 - 1, math.MaxInt32} {
+			var want result.Set
+			want.Add(itemset.FromInts(0), math.MaxInt32)
+			if minsup < math.MaxInt32 {
+				want.Add(itemset.FromInts(0, 1), math.MaxInt32-1)
+			}
+			var got result.Set
+			if err := Mine(edge, Options{MinSupport: minsup, DisablePruning: noPrune}, got.Collect()); err != nil {
+				t.Fatalf("prune=%v minsup=%d: %v", !noPrune, minsup, err)
+			}
+			if !got.Equal(&want) {
+				t.Fatalf("prune=%v minsup=%d:\n%s", !noPrune, minsup, got.Diff(&want, 5))
+			}
+		}
 	}
 }

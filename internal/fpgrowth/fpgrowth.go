@@ -50,13 +50,17 @@ type Options struct {
 	Guard *guard.Guard
 }
 
-// fpNode is one FP-tree node.
+// fpNode is one FP-tree node. Its children form a sibling list, newest
+// first, as in the repository tree of the Carpenter miners: lookups only
+// happen on insertion, and a short list walk beats a per-node map there
+// in both time and heap.
 type fpNode struct {
-	item     int32
-	count    int32
-	parent   *fpNode
-	next     *fpNode // header chain of nodes with the same item
-	children map[int32]*fpNode
+	item    int32
+	count   int32
+	parent  *fpNode
+	next    *fpNode // header chain of nodes with the same item
+	child   *fpNode // first child
+	sibling *fpNode // next child of parent
 }
 
 // fpTree is an FP-tree plus its header table.
@@ -78,14 +82,14 @@ func (t *fpTree) insert(path []int32, count int32) {
 	node := &t.root
 	for _, it := range path {
 		t.counts[it] += count
-		child := node.children[it]
+		child := node.child
+		for child != nil && child.item != it {
+			child = child.sibling
+		}
 		if child == nil {
-			child = &fpNode{item: it, parent: node, next: t.heads[it]}
+			child = &fpNode{item: it, parent: node, next: t.heads[it], sibling: node.child}
 			t.heads[it] = child
-			if node.children == nil {
-				node.children = make(map[int32]*fpNode, 4)
-			}
-			node.children[it] = child
+			node.child = child
 		}
 		child.count += count
 		node = child
@@ -115,6 +119,10 @@ func minePrepared(pre *prep.Prepared, minsup int, target Target, ctl *mining.Con
 	pdb := pre.DB
 	if pdb.NumItems() == 0 {
 		return nil
+	}
+	// Node and conditional counts are int32 sums of row weights.
+	if err := pdb.CheckInt32Counts(); err != nil {
+		return err
 	}
 
 	tree := newFPTree(pdb.NumItems())
@@ -169,7 +177,7 @@ func (m *fpMiner) mine(tree *fpTree, prefix itemset.Set) error {
 		switch m.target {
 		case All:
 			m.emit(append(prefix, itemset.Item(i)), int(supp))
-			cond := m.buildConditional(tree, i, condCounts, nil)
+			cond := m.buildConditional(tree, i, condCounts)
 			if cond != nil {
 				if err := m.mine(cond, append(prefix, itemset.Item(i))); err != nil {
 					return err
@@ -202,7 +210,12 @@ func (m *fpMiner) mine(tree *fpTree, prefix itemset.Set) error {
 			m.cfi.Insert(canon, int(supp))
 			m.emit(canon, int(supp))
 
-			cond := m.buildConditional(tree, i, condCounts, perfect)
+			// The perfect extensions are carried in the prefix instead of
+			// the conditional tree: clearing their counts drops them there.
+			for _, j := range perfect {
+				condCounts[j] = 0
+			}
+			cond := m.buildConditional(tree, i, condCounts)
 			if cond != nil {
 				newPrefix := canon.Clone()
 				if err := m.mine(cond, newPrefix); err != nil {
@@ -215,17 +228,12 @@ func (m *fpMiner) mine(tree *fpTree, prefix itemset.Set) error {
 }
 
 // buildConditional materializes the conditional FP-tree of item i,
-// dropping infrequent conditional items and (for the closed target) the
-// perfect extensions, which are carried in the prefix instead. Returns nil
-// if the conditional database is empty.
-func (m *fpMiner) buildConditional(tree *fpTree, i int, condCounts []int32, perfect []int32) *fpTree {
-	skip := make(map[int32]bool, len(perfect))
-	for _, j := range perfect {
-		skip[j] = true
-	}
+// dropping the conditional items whose count in condCounts is below
+// minsup. Returns nil if the conditional database is empty.
+func (m *fpMiner) buildConditional(tree *fpTree, i int, condCounts []int32) *fpTree {
 	any := false
-	for j, c := range condCounts {
-		if c >= m.minsup && !skip[int32(j)] {
+	for _, c := range condCounts {
+		if c >= m.minsup {
 			any = true
 			break
 		}
@@ -238,7 +246,7 @@ func (m *fpMiner) buildConditional(tree *fpTree, i int, condCounts []int32, perf
 	for n := tree.heads[i]; n != nil; n = n.next {
 		path = path[:0]
 		for p := n.parent; p != nil && p.parent != nil; p = p.parent {
-			if condCounts[p.item] >= m.minsup && !skip[p.item] {
+			if condCounts[p.item] >= m.minsup {
 				path = append(path, p.item)
 			}
 		}

@@ -1,6 +1,8 @@
 package fpgrowth
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"repro/internal/itemset"
 	"repro/internal/mining"
 	"repro/internal/result"
+	"repro/internal/txdb"
 )
 
 func randDB(rng *rand.Rand, items, n int, density float64) *dataset.Database {
@@ -138,5 +141,49 @@ func TestFPTreeStructure(t *testing.T) {
 	}
 	if chain != 2 {
 		t.Fatalf("item 1 chain length = %d", chain)
+	}
+}
+
+// weightedDB builds a database from rows with the given weights.
+func weightedDB(rows []itemset.Set, weights []int) *txdb.DB {
+	b := txdb.NewBuilder(len(rows), 0)
+	for k, r := range rows {
+		b.AddWeighted(r, weights[k])
+	}
+	return b.Build()
+}
+
+// TestMineWeightOverflow: FP-tree node counts and the conditional counts
+// are int32 sums of row weights, so a total weight beyond math.MaxInt32
+// must fail with the typed error instead of mining wrapped counts (which
+// silently dropped {0}:4294967294 here), while a total of exactly
+// math.MaxInt32 is still mined exactly, for both targets.
+func TestMineWeightOverflow(t *testing.T) {
+	rows := []itemset.Set{itemset.FromInts(0, 1), itemset.FromInts(0)}
+	over := weightedDB(rows, []int{math.MaxInt32, math.MaxInt32})
+	edge := weightedDB(rows, []int{math.MaxInt32 - 1, 1})
+	for _, target := range []Target{Closed, All} {
+		err := Mine(over, Options{MinSupport: 1, Target: target}, &result.Counter{})
+		var oe *txdb.WeightOverflowError
+		if !errors.As(err, &oe) || int64(oe.TotalWeight) != 2*math.MaxInt32 {
+			t.Fatalf("%v: err = %v, want *txdb.WeightOverflowError with total %d", target, err, int64(2*math.MaxInt32))
+		}
+		for _, minsup := range []int{1, math.MaxInt32 - 1, math.MaxInt32} {
+			var want result.Set
+			want.Add(itemset.FromInts(0), math.MaxInt32)
+			if minsup < math.MaxInt32 {
+				want.Add(itemset.FromInts(0, 1), math.MaxInt32-1)
+				if target == All {
+					want.Add(itemset.FromInts(1), math.MaxInt32-1)
+				}
+			}
+			var got result.Set
+			if err := Mine(edge, Options{MinSupport: minsup, Target: target}, got.Collect()); err != nil {
+				t.Fatalf("%v minsup=%d: %v", target, minsup, err)
+			}
+			if !got.Equal(&want) {
+				t.Fatalf("%v minsup=%d:\n%s", target, minsup, got.Diff(&want, 5))
+			}
+		}
 	}
 }

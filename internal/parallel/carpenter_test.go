@@ -89,6 +89,43 @@ func TestCarpenterWeightedDeep(t *testing.T) {
 	}
 }
 
+// TestIsTaWeightOverflow: every shard tree counts in int32, so the
+// sharded IsTa must refuse a total weight beyond math.MaxInt32 before
+// sharding, with the same typed error as the sequential IsTa (here each
+// two-row shard's own weight would still fit), and must mine a total of
+// exactly math.MaxInt32 exactly.
+func TestIsTaWeightOverflow(t *testing.T) {
+	const q = math.MaxInt32 / 4 // 4q+3 == MaxInt32
+	build := func(last int) *txdb.DB {
+		b := txdb.NewBuilder(4, 6)
+		b.AddWeighted(itemset.FromInts(0, 1), q)
+		b.AddWeighted(itemset.FromInts(0), q)
+		b.AddWeighted(itemset.FromInts(0, 1), q)
+		b.AddWeighted(itemset.FromInts(0), last)
+		return b.Build()
+	}
+	err := MineIsTa(build(q+4), Options{MinSupport: 1, Workers: 2}, &result.Counter{})
+	var oe *txdb.WeightOverflowError
+	if !errors.As(err, &oe) || int64(oe.TotalWeight) != math.MaxInt32+1 {
+		t.Fatalf("err = %v, want *txdb.WeightOverflowError with total %d", err, int64(math.MaxInt32+1))
+	}
+	edge := build(q + 3)
+	for _, minsup := range []int{1, 2 * q, math.MaxInt32} {
+		var want result.Set
+		want.Add(itemset.FromInts(0), math.MaxInt32)
+		if minsup <= 2*q {
+			want.Add(itemset.FromInts(0, 1), 2*q)
+		}
+		var got result.Set
+		if err := MineIsTa(edge, Options{MinSupport: minsup, Workers: 2}, got.Collect()); err != nil {
+			t.Fatalf("minsup=%d: %v", minsup, err)
+		}
+		if !got.Equal(&want) {
+			t.Fatalf("minsup=%d:\n%s", minsup, got.Diff(&want, 5))
+		}
+	}
+}
+
 // TestCarpenterTableWeightOverflow: the branch-parallel path shares the
 // matrix's int32 counts, so it must refuse a total weight beyond
 // math.MaxInt32 with the same typed error as the sequential search.

@@ -93,6 +93,11 @@ func minePreparedIsTa(pre *prep.Prepared, cfg runCfg, rep result.Reporter) error
 	if err := ctl.Tick(); err != nil {
 		return err
 	}
+	// Every shard tree counts in int32 (core's node supports); refuse
+	// before sharding, since a shard's weight alone may still fit.
+	if err := pdb.CheckInt32Counts(); err != nil {
+		return err
+	}
 
 	// Phase 1: cut the prepared transactions into contiguous zero-copy
 	// range views balanced by work and mine every shard with a private

@@ -213,24 +213,55 @@ func TestCFITreeBasics(t *testing.T) {
 	}
 }
 
+// TestCFITreeRandomized checks the repository against brute force in two
+// regimes: a narrow universe (16 items, many shared prefixes) and wide
+// ones (64 to 200 items, so sibling lists are long). Sets are inserted in
+// shuffled order, some again with another support, and the queries are
+// subsets of stored sets (mostly hits), random sets (mostly misses) and
+// the empty set (the whole-subtree path), at supports around the stored
+// ones.
 func TestCFITreeRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 80; trial++ {
-		var tr CFITree
-		type stored struct {
-			s    itemset.Set
-			supp int
+	type stored struct {
+		s    itemset.Set
+		supp int
+	}
+	for trial := 0; trial < 140; trial++ {
+		universe, sets, maxLen := 16, 30, 6
+		if trial%2 == 1 {
+			universe, sets, maxLen = 64+rng.Intn(137), 20+rng.Intn(200), 12
 		}
 		var all []stored
-		for i := 0; i < 30; i++ {
-			s := randSet(rng, 16, 6)
-			supp := 1 + rng.Intn(5)
-			tr.Insert(s, supp)
-			all = append(all, stored{s, supp})
+		for i := 0; i < sets; i++ {
+			all = append(all, stored{randSet(rng, universe, maxLen), 1 + rng.Intn(8)})
 		}
-		for q := 0; q < 50; q++ {
-			query := randSet(rng, 16, 5)
-			supp := 1 + rng.Intn(5)
+		for i, n := 0, len(all)/5; i < n; i++ {
+			all = append(all, stored{all[rng.Intn(len(all))].s, 1 + rng.Intn(8)})
+		}
+		rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+		var tr CFITree
+		if tr.Subsumed(nil, 1) {
+			t.Fatal("empty tree subsumed the empty set")
+		}
+		for i, st := range all {
+			tr.Insert(st.s, st.supp)
+			if tr.Len() != i+1 {
+				t.Fatalf("Len = %d after %d inserts", tr.Len(), i+1)
+			}
+		}
+		for q := 0; q < 150; q++ {
+			var query itemset.Set
+			switch q % 3 {
+			case 0:
+				for _, it := range all[rng.Intn(len(all))].s {
+					if rng.Intn(2) == 0 {
+						query = append(query, it)
+					}
+				}
+			case 1:
+				query = randSet(rng, universe, maxLen/2)
+			}
+			supp := 1 + rng.Intn(10)
 			want := false
 			for _, st := range all {
 				if st.supp >= supp && query.SubsetOf(st.s) {
@@ -239,7 +270,7 @@ func TestCFITreeRandomized(t *testing.T) {
 				}
 			}
 			if got := tr.Subsumed(query, supp); got != want {
-				t.Fatalf("Subsumed(%v, %d) = %v, want %v", query, supp, got, want)
+				t.Fatalf("universe %d: Subsumed(%v, %d) = %v, want %v", universe, query, supp, got, want)
 			}
 		}
 	}
@@ -273,19 +304,43 @@ func TestSubsumeFilter(t *testing.T) {
 	}
 }
 
+// TestSubsumeFilterRandomized checks Emit against brute force in two
+// regimes: short random candidates over 12 items, and long candidates
+// over 64 to 200 items drawn mostly as subsets of a few seeds, so the
+// per-support repositories have long sibling lists and subsumption is
+// frequent.
 func TestSubsumeFilterRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	for trial := 0; trial < 60; trial++ {
-		f := NewSubsumeFilter()
-		type cand struct {
-			s    itemset.Set
-			supp int
+	type cand struct {
+		s    itemset.Set
+		supp int
+	}
+	for trial := 0; trial < 100; trial++ {
+		wide := trial%2 == 1
+		universe, n, maxSupp := 12, 40, 4
+		var seeds []itemset.Set
+		if wide {
+			universe, n, maxSupp = 64+rng.Intn(137), 200, 3
+			seeds = make([]itemset.Set, 1+rng.Intn(6))
+			for i := range seeds {
+				seeds[i] = randSet(rng, universe, 16)
+			}
 		}
+		f := NewSubsumeFilter()
 		var cands []cand
 		seen := map[string]bool{}
-		for i := 0; i < 40; i++ {
-			s := randSet(rng, 12, 5)
-			supp := 1 + rng.Intn(4)
+		for i := 0; i < n; i++ {
+			var s itemset.Set
+			if wide && rng.Intn(4) != 0 {
+				for _, it := range seeds[rng.Intn(len(seeds))] {
+					if rng.Intn(3) != 0 {
+						s = append(s, it)
+					}
+				}
+			} else {
+				s = randSet(rng, universe, 5)
+			}
+			supp := 1 + rng.Intn(maxSupp)
 			f.Add(s, supp)
 			k := s.Key() + "|" + string(rune('0'+supp))
 			if !seen[k] {
@@ -309,7 +364,7 @@ func TestSubsumeFilterRandomized(t *testing.T) {
 			}
 		}
 		if !got.Equal(&want) {
-			t.Fatalf("filter mismatch:\n%s", got.Diff(&want, 10))
+			t.Fatalf("universe %d: filter mismatch:\n%s", universe, got.Diff(&want, 10))
 		}
 	}
 }
@@ -367,5 +422,41 @@ func TestParseErrors(t *testing.T) {
 	s, err := Parse(strings.NewReader("# c\n\n1 (2)\n"), nil)
 	if err != nil || s.Len() != 1 {
 		t.Fatalf("comment handling: %v %d", err, s.Len())
+	}
+}
+
+// TestFilterMaximalRandomized checks FilterMaximal against brute force: a
+// pattern survives iff no other pattern is a proper superset of it,
+// whatever the supports, over wide universes and shuffled input.
+func TestFilterMaximalRandomized(t *testing.T) {
+	rng := rand.New(rand.NewSource(65))
+	for trial := 0; trial < 60; trial++ {
+		universe := 8 + rng.Intn(120)
+		var in Set
+		seen := map[string]bool{}
+		for i, n := 0, 1+rng.Intn(150); i < n; i++ {
+			s := randSet(rng, universe, 10)
+			if len(s) == 0 || seen[s.Key()] {
+				continue
+			}
+			seen[s.Key()] = true
+			in.Add(s, 1+rng.Intn(20))
+		}
+		var want Set
+		for _, p := range in.Patterns {
+			maximal := true
+			for _, q := range in.Patterns {
+				if p.Items.ProperSubsetOf(q.Items) {
+					maximal = false
+					break
+				}
+			}
+			if maximal {
+				want.Add(p.Items, p.Support)
+			}
+		}
+		if got := FilterMaximal(&in); !got.Equal(&want) {
+			t.Fatalf("universe %d:\n%s", universe, got.Diff(&want, 10))
+		}
 	}
 }

@@ -15,96 +15,102 @@ import (
 // CFI-tree in Grahne & Zhu's FPclose.
 //
 // Sets are stored along root-to-node paths with item codes strictly
-// ascending. Every node caches the maximum support of any terminal set in
-// its subtree, which prunes the subsumption search.
+// ascending. The nodes live in one flat arena linked by int32 indices
+// (no pointers for the collector to trace), and the children of a node
+// form a sibling list sorted by ascending item, so a search for an item
+// stops at the first larger sibling. Every node caches the maximum
+// support of any stored set whose path passes through it, which prunes
+// the subsumption search. The zero value is an empty tree.
 type CFITree struct {
-	root cfiNode
-	n    int
+	nodes []cfiNode // nodes[0] is the root once anything was inserted
+	n     int
 }
 
+// cfiNode is one arena slot. Index 0 is the root, which is never a child
+// or a sibling, so a zero link means "none". int32 links cap the arena at
+// 2³¹ nodes, about 48 GB of them.
 type cfiNode struct {
-	children map[itemset.Item]*cfiNode
+	item    itemset.Item
+	child   int32 // first child, the one with the smallest item
+	sibling int32 // next sibling, with a larger item
 	// maxSupp is the maximum support of any stored set whose path passes
-	// through or ends in this subtree.
+	// through or ends in this node. Every such set ends in this subtree,
+	// so it is also the best terminal support below the node.
 	maxSupp int
-	// termSupp is the support of the set ending exactly here (0 = none;
-	// valid because stored supports are always ≥ 1).
-	termSupp int
 }
 
 // Len returns the number of stored sets.
 func (t *CFITree) Len() int { return t.n }
 
-// Insert stores items with the given support. Items must be canonical.
+// Insert stores items with the given support (≥ 1). Items must be
+// canonical.
 func (t *CFITree) Insert(items itemset.Set, support int) {
-	node := &t.root
-	if support > node.maxSupp {
-		node.maxSupp = support
+	if len(t.nodes) == 0 {
+		t.nodes = append(t.nodes, cfiNode{})
 	}
+	cur := int32(0)
+	t.raise(cur, support)
 	for _, it := range items {
-		if node.children == nil {
-			node.children = make(map[itemset.Item]*cfiNode, 4)
+		// Find it among cur's children, or the slot that keeps them
+		// sorted: prev is the last child below it (0 = insert first).
+		prev, next := int32(0), t.nodes[cur].child
+		for next != 0 && t.nodes[next].item < it {
+			prev, next = next, t.nodes[next].sibling
 		}
-		next := node.children[it]
-		if next == nil {
-			next = &cfiNode{}
-			node.children[it] = next
+		if next == 0 || t.nodes[next].item != it {
+			id := int32(len(t.nodes))
+			t.nodes = append(t.nodes, cfiNode{item: it, sibling: next})
+			if prev == 0 {
+				t.nodes[cur].child = id
+			} else {
+				t.nodes[prev].sibling = id
+			}
+			next = id
 		}
-		if support > next.maxSupp {
-			next.maxSupp = support
-		}
-		node = next
-	}
-	if support > node.termSupp {
-		node.termSupp = support
+		t.raise(next, support)
+		cur = next
 	}
 	t.n++
 }
 
-// Subsumed reports whether some stored set Y ⊇ items has support ≥
-// support. A stored copy of items itself also counts (Y ⊇ X includes
-// Y = X), which is what the closed-miner duplicate check needs.
-func (t *CFITree) Subsumed(items itemset.Set, support int) bool {
-	return subsumed(&t.root, items, support)
+func (t *CFITree) raise(node int32, support int) {
+	if n := &t.nodes[node]; support > n.maxSupp {
+		n.maxSupp = support
+	}
 }
 
-func subsumed(node *cfiNode, items itemset.Set, support int) bool {
-	if node.maxSupp < support {
+// Subsumed reports whether some stored set Y ⊇ items has support ≥
+// support (≥ 1). A stored copy of items itself also counts (Y ⊇ X
+// includes Y = X), which is what the closed-miner duplicate check needs.
+func (t *CFITree) Subsumed(items itemset.Set, support int) bool {
+	return len(t.nodes) > 0 && t.subsumed(0, items, support)
+}
+
+func (t *CFITree) subsumed(node int32, items itemset.Set, support int) bool {
+	if t.nodes[node].maxSupp < support {
 		return false
 	}
 	if len(items) == 0 {
-		// All required items covered; any terminal set in this subtree
-		// with sufficient support is a superset.
-		return maxTerm(node) >= support
+		// All required items covered: the stored set carrying maxSupp
+		// ends in this subtree and is a superset.
+		return true
 	}
 	want := items[0]
-	for it, child := range node.children {
+	for c := t.nodes[node].child; c != 0; c = t.nodes[c].sibling {
+		it := t.nodes[c].item
 		if it > want {
-			// Paths are ascending, so `want` cannot occur deeper.
-			continue
+			// Siblings ascend and paths ascend, so want occurs neither in
+			// a later sibling nor below one.
+			return false
 		}
 		if it == want {
-			if subsumed(child, items[1:], support) {
-				return true
-			}
-		} else if subsumed(child, items, support) {
+			return t.subsumed(c, items[1:], support)
+		}
+		if t.subsumed(c, items, support) {
 			return true
 		}
 	}
 	return false
-}
-
-func maxTerm(node *cfiNode) int {
-	best := node.termSupp
-	for _, child := range node.children {
-		if node.maxSupp <= best {
-			break
-		}
-		if v := maxTerm(child); v > best {
-			best = v
-		}
-	}
-	return best
 }
 
 // SubsumeFilter accumulates closure candidates and, at emit time, keeps

@@ -123,9 +123,10 @@ type Matrix struct {
 }
 
 // WeightOverflowError reports a database whose total weight does not fit
-// the int32 running counts of the Matrix entries (and of the list-based
-// Carpenter's remaining-weight sums). Miners that keep such counts return
-// it instead of mining with wrapped values.
+// the int32 counts a miner keeps: the Matrix entries and the list-based
+// Carpenter's remaining-weight sums, the IsTa node supports and the
+// FP-tree node counts. Miners that keep such counts return it instead of
+// mining with wrapped values.
 type WeightOverflowError struct {
 	TotalWeight int
 }
